@@ -56,15 +56,17 @@ pub const DEFAULT_AUTO_SPARSITY: u64 = 4096;
 
 /// Default minimum number of diagonal gates for a segment to be worth the
 /// phase-accumulator representation: below this the conversion round-trip
-/// costs more than the diagonal fast path saves. Overridable at run time
-/// through the `MBU_AUTO_PHASE_DIAG` environment knob.
+/// costs more than the diagonal fast path saves. Static planning only —
+/// no run-time knob overrides it.
 pub const DEFAULT_AUTO_PHASE_DIAG: u32 = 8;
 
 /// Thresholds steering the three-way representation choice of
 /// [`plan_segment`]. The compile-time dump plans with [`Default`] (all
-/// three representations on the table); the run-time hybrid backend
-/// rebuilds a config from the `MBU_AUTO_*` environment knobs, where the
-/// phase arm is opt-in via `MBU_AUTO_PHASE`.
+/// three representations on the table). The run-time hybrid backend
+/// chooses only between dense and sparse (its thresholds come from the
+/// `MBU_AUTO_DENSE_QUBITS` / `MBU_AUTO_SPARSITY` knobs); a static
+/// [`PlannedRepr::Phase`] verdict names a segment that suits the forced
+/// `MBU_BACKEND=phase` backend.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct PlanConfig {
     /// Widest register for which a dense `2^n` allocation is considered

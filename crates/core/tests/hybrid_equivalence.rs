@@ -165,10 +165,9 @@ proptest! {
 }
 
 /// A random diagonal-heavy gate soup on `n` qubits: the mixed workload
-/// the three-way planner sees inside QFT arithmetic — `H` fan-out,
-/// dyadic rotations at every arity, permutation moves and mid-circuit
-/// measurements, with a guaranteed diagonal gate in the opening segment
-/// so the phase hop always has something to bite on.
+/// the planner sees inside QFT arithmetic — `H` fan-out, dyadic rotations
+/// at every arity, permutation moves and mid-circuit measurements, with a
+/// guaranteed diagonal gate in the opening segment.
 fn diag_soup_circuit(n: usize, ops: &[(u8, u32, u32, u32)]) -> mbu_circuit::Circuit {
     let mut b = CircuitBuilder::new();
     let r = b.qreg("q", n);
@@ -206,11 +205,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Random Draper wrapping adders — pure QFT arithmetic, the
-    /// diagonal-heavy shape the phase arm exists for. With the dense cap
-    /// pinned below the register width and the phase arm forced on, the
-    /// planner hops into the phase tandem for the whole adder; records,
-    /// RNG stream and every amplitude still match the forced sparse run
-    /// bit for bit.
+    /// diagonal-heavy shape. With the dense cap pinned below the register
+    /// width the planner keeps the adder on the sparse map; records, RNG
+    /// stream and every amplitude match the forced sparse run bit for
+    /// bit.
     #[test]
     fn auto_phase_arm_matches_forced_sparse_on_draper_adders(
         n in 2usize..=4,
@@ -229,16 +227,14 @@ proptest! {
         draper::wrapping_add(&mut b, xr.qubits(), yr.qubits()).unwrap();
         if superpose {
             // Collapse the fanned control again: a measurement *after*
-            // the diagonal wall, so the draw happens off the tandem exit.
+            // the diagonal wall.
             let _ = b.measure(xr[0], Basis::Z);
         }
         let circuit = b.finish();
         let q = circuit.num_qubits();
         let compiled = CompiledCircuit::compile(&circuit).unwrap();
 
-        let mut auto = HybridState::zeros(q).unwrap()
-            .with_thresholds(2, 1)
-            .with_phase(true, 1);
+        let mut auto = HybridState::zeros(q).unwrap().with_thresholds(2, 1);
         let mut sparse = SparseVector::zeros(q).unwrap();
         for sim in [&mut auto as &mut dyn Simulator, &mut sparse] {
             sim.set_value(xr.qubits(), x).unwrap();
@@ -254,7 +250,7 @@ proptest! {
         assert_amps_bitwise(
             &auto.amplitudes().unwrap(),
             &sparse_to_dense(&sparse).unwrap().amplitudes(),
-            "auto+phase vs sparse (draper)",
+            "auto vs sparse (draper)",
         );
         if !superpose {
             prop_assert_eq!(
@@ -262,17 +258,12 @@ proptest! {
                 (x + y) % (1 << n)
             );
         }
-        // The cap sits below the register width and the opening segment
-        // is wall-to-wall rotations: the planner must have hopped into
-        // (and back out of) the phase tandem, not sat sparse throughout.
-        prop_assert!(auto.last_run_switches().unwrap() >= 1);
     }
 
     /// Random diagonal-heavy gate soups with mid-circuit measurements:
-    /// the adversarial mixed workload for the three-way planner. The
-    /// tandem's authoritative-map design makes this an exact bit-identity
-    /// — amplitudes, records, counts and RNG position — however the soup
-    /// interleaves fan-out, rotations and collapses.
+    /// the adversarial mixed workload for the planner. This is an exact
+    /// bit-identity — amplitudes, records, counts and RNG position —
+    /// however the soup interleaves fan-out, rotations and collapses.
     #[test]
     fn auto_phase_arm_matches_forced_sparse_on_diagonal_mixes(
         ops in proptest::collection::vec(
@@ -283,11 +274,9 @@ proptest! {
         let circuit = diag_soup_circuit(n, &ops);
         let compiled = CompiledCircuit::compile(&circuit).unwrap();
 
-        // Sparsity 0: every segment "outgrows", so the hop decision is
-        // purely the diagonal-count rule — phase hops forced mid-run.
-        let mut auto = HybridState::zeros(n).unwrap()
-            .with_thresholds(2, 0)
-            .with_phase(true, 1);
+        // Sparsity 0: every segment "outgrows" the sparse threshold, but
+        // the register is wider than the dense cap.
+        let mut auto = HybridState::zeros(n).unwrap().with_thresholds(2, 0);
         let mut sparse = SparseVector::zeros(n).unwrap();
         let mut rng_a = StdRng::seed_from_u64(seed);
         let mut rng_s = StdRng::seed_from_u64(seed);
@@ -299,11 +288,8 @@ proptest! {
         assert_amps_bitwise(
             &auto.amplitudes().unwrap(),
             &sparse_to_dense(&sparse).unwrap().amplitudes(),
-            "auto+phase vs sparse (soup)",
+            "auto vs sparse (soup)",
         );
-        // The opening segment always carries a rotation, so the planner
-        // hopped at least once on every generated soup.
-        prop_assert!(auto.last_run_switches().unwrap() >= 1);
     }
 }
 

@@ -22,16 +22,13 @@
 //! cleared target bit) and [`drive`] walks the *touched index space* — the
 //! `len >> pins` indices whose pinned bits match — as contiguous runs.
 //!
-//! # The SIMD path and the scalar reference path
+//! # Grouped runs
 //!
-//! [`Par`] carries a `simd` switch next to the worker pool. With `simd`
-//! off, `drive` reproduces the original scalar enumeration: one closure
-//! call per maximal run, each run handled as a single span. With `simd`
-//! on, `drive` hands the closure *groups* of consecutive runs — `count`
-//! runs of length `run` spaced `stride = 2·run_len` apart — which is
-//! valid because within a group (bounded by the second-lowest pinned
-//! position) the absolute base address is an affine function of the run
-//! index: `deposit(u + j·run_len) = deposit(u) + j·stride`, no carry ever
+//! `drive` hands the closure *groups* of consecutive runs — `count` runs
+//! of length `run` spaced `stride = 2·run_len` apart — which is valid
+//! because within a group (bounded by the second-lowest pinned position)
+//! the absolute base address is an affine function of the run index:
+//! `deposit(u + j·run_len) = deposit(u) + j·stride`, no carry ever
 //! crossing the next pinned bit. The concrete kernels turn a group into
 //! one or two long slices walked by `chunks_exact` loops, so the per-run
 //! closure dispatch and bit-deposit arithmetic disappear from the hot
@@ -39,16 +36,14 @@
 //! structure-of-arrays `f64` buffers of [`Amps`] — homogeneous streams
 //! LLVM autovectorizes into full-width packed ops (the span helpers also
 //! process explicit [`LANES`]-wide chunks so the vector shape is stated
-//! in the source, stable Rust only). Both paths perform *identical*
-//! per-amplitude arithmetic in *identical* order, so amplitudes are
-//! bit-identical between them; `MBU_SIMD=0` keeps the scalar path
-//! available as the differential reference and honest benchmark baseline.
+//! in the source, stable Rust only). The grouping changes the enumeration
+//! shape only, never the per-amplitude arithmetic or its order.
 //!
 //! `drive` is also the parallelism seam: given an
 //! [`AmpPool`](crate::pool::AmpPool), it splits the touched space into
 //! per-thread chunks at **deterministic** boundaries (a pure function of
-//! work size and thread count, rounded down to [`LANES`] multiples on the
-//! SIMD path so chunk interiors stay lane-aligned) and runs the same
+//! work size and thread count, rounded down to [`LANES`] multiples so
+//! chunk interiors stay lane-aligned) and runs the same
 //! per-group closure on each chunk concurrently. Chunks write disjoint
 //! amplitudes and every amplitude is touched exactly once with identical
 //! arithmetic, so parallel execution is bit-identical to serial at any
@@ -81,38 +76,22 @@ pub(crate) const LANES: usize = 8;
 
 const FRAC_1_SQRT_2: f64 = std::f64::consts::FRAC_1_SQRT_2;
 
-/// The execution context of one kernel call: an optional worker pool and
-/// the SIMD switch (see the module docs for what the switch changes —
-/// enumeration shape only, never arithmetic).
+/// The execution context of one kernel call: an optional worker pool.
 #[derive(Clone, Copy)]
 pub(crate) struct Par<'a> {
     pool: Option<&'a AmpPool>,
-    simd: bool,
 }
 
 impl<'a> Par<'a> {
-    /// Serial execution on the vectorized path.
+    /// Serial execution.
     #[cfg(test)]
     pub(crate) fn serial() -> Self {
-        Self {
-            pool: None,
-            simd: true,
-        }
+        Self { pool: None }
     }
 
-    /// Serial execution on the scalar reference path.
-    #[cfg(test)]
-    pub(crate) fn scalar() -> Self {
-        Self {
-            pool: None,
-            simd: false,
-        }
-    }
-
-    /// Execution over `pool`'s lanes (serial when `None`), vectorized or
-    /// scalar per `simd`.
-    pub(crate) fn new(pool: Option<&'a AmpPool>, simd: bool) -> Self {
-        Self { pool, simd }
+    /// Execution over `pool`'s lanes (serial when `None`).
+    pub(crate) fn new(pool: Option<&'a AmpPool>) -> Self {
+        Self { pool }
     }
 }
 
@@ -253,14 +232,12 @@ impl Shared {
 /// once — splitting the touched index space across the pool's lanes when
 /// one is supplied and the array is large enough to pay for the wake-up.
 ///
-/// On the scalar path `count` is always 1 and runs are maximal (the
-/// original per-run enumeration); on the SIMD path full runs arrive in
-/// affine groups (see [`Pins::group_runs`]), with partial head/tail runs
-/// at chunk boundaries still delivered singly. Chunk boundaries depend
-/// only on `(touched, lanes, simd)` — never on timing — and every run
-/// (plus whatever partner range `f` derives from it) is disjoint from
-/// every other, so the parallel sweep performs exactly the serial sweep's
-/// writes.
+/// Full runs arrive in affine groups (see [`Pins::group_runs`]), with
+/// partial head/tail runs at chunk boundaries delivered singly. Chunk
+/// boundaries depend only on `(touched, lanes)` — never on timing — and
+/// every run (plus whatever partner range `f` derives from it) is disjoint
+/// from every other, so the parallel sweep performs exactly the serial
+/// sweep's writes.
 fn drive(
     par: Par<'_>,
     amps: &mut Amps,
@@ -284,17 +261,8 @@ fn drive(
     let m0 = pins.run_len();
     let p0 = m0.trailing_zeros() as usize;
     let stride = m0 << 1;
-    // The original scalar enumeration: one maximal run per closure call.
-    let scalar_chunk = |from: usize, to: usize| {
-        let mut u = from;
-        while u < to {
-            let run = (m0 - (u & (m0 - 1))).min(to - u);
-            f(&shared, pins.deposit(u), run, stride, 1);
-            u += run;
-        }
-    };
-    // Grouped enumeration: one closure call per affine group of runs.
-    let grouped_chunk = |from: usize, to: usize| {
+    // One closure call per affine group of runs.
+    let run_chunk = |from: usize, to: usize| {
         let g = pins.group_runs();
         let mut u = from;
         if u < to && u & (m0 - 1) != 0 {
@@ -318,21 +286,14 @@ fn drive(
             u += count << p0;
         }
     };
-    let run_chunk = |from: usize, to: usize| {
-        if par.simd {
-            grouped_chunk(from, to);
-        } else {
-            scalar_chunk(from, to);
-        }
-    };
     match par.pool {
         Some(pool) if pool.threads() > 1 && len >= PAR_MIN_AMPS && touched > 1 => {
             let chunks = pool.threads().min(touched);
             let per = touched / chunks;
             let extra = touched % chunks;
-            // Interior boundaries round down to lane multiples on the
-            // SIMD path so chunk interiors stay lane-aligned; monotonic
-            // either way, so chunks stay disjoint (possibly empty).
+            // Interior boundaries round down to lane multiples so chunk
+            // interiors stay lane-aligned; still monotonic, so chunks stay
+            // disjoint (possibly empty).
             let boundary = |c: usize| -> usize {
                 if c == 0 {
                     return 0;
@@ -340,12 +301,7 @@ fn drive(
                 if c == chunks {
                     return touched;
                 }
-                let raw = c * per + c.min(extra);
-                if par.simd {
-                    raw & !(LANES - 1)
-                } else {
-                    raw
-                }
+                (c * per + c.min(extra)) & !(LANES - 1)
             };
             pool.run(chunks, &|c| run_chunk(boundary(c), boundary(c + 1)));
         }
@@ -1360,12 +1316,16 @@ mod tests {
         v
     }
 
-    /// Both enumeration strategies must visit the same index set.
+    /// The grouped enumeration must visit exactly the indices a
+    /// brute-force filter over `0..len` keeps: those whose pinned bits
+    /// match.
     fn indices(len: usize, pins: &[(usize, usize)]) -> Vec<usize> {
-        let grouped = indices_with(Par::serial(), len, pins);
-        let scalar = indices_with(Par::scalar(), len, pins);
-        assert_eq!(grouped, scalar, "simd and scalar enumerations diverge");
-        grouped
+        let got = indices_with(Par::serial(), len, pins);
+        let want: Vec<usize> = (0..len)
+            .filter(|i| pins.iter().all(|&(p, v)| i >> p & 1 == v))
+            .collect();
+        assert_eq!(got, want, "grouped enumeration diverges from the filter");
+        got
     }
 
     #[test]
@@ -1391,8 +1351,7 @@ mod tests {
     #[cfg_attr(miri, ignore)] // oversized for the miri CI leg
     fn run_iteration_matches_mask_filter_exhaustively() {
         // Cross-check against the naive definition for every pin layout in
-        // a 6-qubit space, for 1, 2 and 3 pins — on both enumeration
-        // strategies (the `indices` helper asserts they agree).
+        // a 6-qubit space, for 1, 2 and 3 pins.
         let len = 64usize;
         for p0 in 0..6 {
             for v0 in [0usize, 1] {
@@ -1539,59 +1498,64 @@ mod tests {
     fn parallel_kernels_are_bit_identical_to_serial() {
         // A pool with several lanes on an array above the parallel
         // threshold: every kernel family must produce bitwise-identical
-        // amplitudes across scalar-serial, simd-serial, simd-parallel and
-        // scalar-parallel runs, including high-bit operands where a run
-        // spans a huge contiguous range.
+        // amplitudes across serial and pooled runs, including high-bit
+        // operands where a run spans a huge contiguous range.
         let n = 15usize; // 2^15 = 32768 ≥ PAR_MIN_AMPS
         let len = 1usize << n;
         let pool = AmpPool::new(4);
         for (name, kernel) in &kernel_suite(n) {
-            let mut scalar = ramp(len);
-            kernel(Par::scalar(), &mut scalar);
-            for (mode, par) in [
-                ("simd serial", Par::serial()),
-                ("simd parallel", Par::new(Some(&pool), true)),
-                ("scalar parallel", Par::new(Some(&pool), false)),
-            ] {
-                let mut got = ramp(len);
-                kernel(par, &mut got);
-                assert_bit_identical(&scalar, &got, &format!("{name} [{mode}]"));
-            }
+            let mut serial = ramp(len);
+            kernel(Par::serial(), &mut serial);
+            let mut pooled = ramp(len);
+            kernel(Par::new(Some(&pool)), &mut pooled);
+            assert_bit_identical(&serial, &pooled, &format!("{name} [parallel]"));
         }
     }
 
     #[test]
     fn simd_matches_scalar_on_tiny_states() {
         // States smaller than one lane chunk must take the span helpers'
-        // scalar tails and still agree bitwise with the scalar path.
-        let w = Complex::cis(1.1);
+        // scalar tails and still agree bitwise with the full-sweep
+        // reference: the same gate on a `StateVector` in `Scan` mode.
+        let theta = mbu_circuit::Angle::from_fraction(7, 5);
+        let w = Complex::cis(theta.radians());
+        let q = |i: usize| QubitId(u32::try_from(i).unwrap());
         type K = Box<dyn Fn(Par<'_>, &mut Amps)>;
         for n in [2usize, 3] {
             let len = 1usize << n;
-            let kernels: Vec<(&'static str, K)> = vec![
-                ("x", Box::new(|p, a: &mut Amps| x(p, a, 0))),
-                ("h", Box::new(|p, a: &mut Amps| h(p, a, 0))),
-                ("z", Box::new(|p, a: &mut Amps| z(p, a, 1, 1))),
+            let kernels: Vec<(Gate, K)> = vec![
+                (Gate::X(q(0)), Box::new(|p, a: &mut Amps| x(p, a, 0))),
+                (Gate::H(q(0)), Box::new(|p, a: &mut Amps| h(p, a, 0))),
+                (Gate::Z(q(1)), Box::new(|p, a: &mut Amps| z(p, a, 1, 1))),
                 (
-                    "phase1",
+                    Gate::Phase(q(0), theta),
                     Box::new(move |p, a: &mut Amps| phase1(p, a, 0, 1, w)),
                 ),
-                ("cx", Box::new(move |p, a: &mut Amps| cx(p, a, 0, 1, n - 1))),
                 (
-                    "cz",
+                    Gate::Cx(q(0), q(n - 1)),
+                    Box::new(move |p, a: &mut Amps| cx(p, a, 0, 1, n - 1)),
+                ),
+                (
+                    Gate::Cz(q(0), q(n - 1)),
                     Box::new(move |p, a: &mut Amps| cz(p, a, 0, 1, n - 1, 1)),
                 ),
                 (
-                    "swap",
+                    Gate::Swap(q(0), q(n - 1)),
                     Box::new(move |p, a: &mut Amps| swap(p, a, 0, n - 1)),
                 ),
             ];
-            for (name, kernel) in &kernels {
-                let mut scalar = ramp(len);
-                let mut simd = ramp(len);
-                kernel(Par::scalar(), &mut scalar);
-                kernel(Par::serial(), &mut simd);
-                assert_bit_identical(&scalar, &simd, &format!("{name} @ len {len}"));
+            for (gate, kernel) in &kernels {
+                let mut scan = crate::StateVector::from_amplitudes(ramp(len).to_vec())
+                    .unwrap()
+                    .with_kernel_mode(crate::KernelMode::Scan);
+                crate::Simulator::apply_gate(&mut scan, gate).unwrap();
+                let mut got = ramp(len);
+                kernel(Par::serial(), &mut got);
+                assert_bit_identical(
+                    &Amps::from_complex(&scan.amplitudes()),
+                    &got,
+                    &format!("{gate} @ len {len}"),
+                );
             }
         }
     }
@@ -1617,23 +1581,23 @@ mod tests {
         let len = 1usize << 15;
 
         // Reference: each local gate applied gate-at-a-time with operands
-        // mapped onto the physical positions, on the scalar path.
+        // mapped onto the physical positions.
         let mut reference = ramp(len);
         for g in &gates {
             let phys = g.map_qubits(|lq| QubitId(u32::try_from(positions[lq.index()]).unwrap()));
             match phys {
-                Gate::X(a) => x(Par::scalar(), &mut reference, a.index()),
-                Gate::H(a) => h(Par::scalar(), &mut reference, a.index()),
+                Gate::X(a) => x(Par::serial(), &mut reference, a.index()),
+                Gate::H(a) => h(Par::serial(), &mut reference, a.index()),
                 Gate::Phase(a, t) => phase1(
-                    Par::scalar(),
+                    Par::serial(),
                     &mut reference,
                     a.index(),
                     1,
                     Complex::cis(t.radians()),
                 ),
-                Gate::Cx(c, t) => cx(Par::scalar(), &mut reference, c.index(), 1, t.index()),
+                Gate::Cx(c, t) => cx(Par::serial(), &mut reference, c.index(), 1, t.index()),
                 Gate::Ccx(c1, c2, t) => ccx(
-                    Par::scalar(),
+                    Par::serial(),
                     &mut reference,
                     c1.index(),
                     1,
@@ -1641,19 +1605,14 @@ mod tests {
                     1,
                     t.index(),
                 ),
-                Gate::Cz(a, b) => cz(Par::scalar(), &mut reference, a.index(), 1, b.index(), 1),
-                Gate::Swap(a, b) => swap(Par::scalar(), &mut reference, a.index(), b.index()),
+                Gate::Cz(a, b) => cz(Par::serial(), &mut reference, a.index(), 1, b.index(), 1),
+                Gate::Swap(a, b) => swap(Par::serial(), &mut reference, a.index(), b.index()),
                 _ => unreachable!(),
             }
         }
 
         let pool = AmpPool::new(3);
-        for par in [
-            Par::scalar(),
-            Par::serial(),
-            Par::new(Some(&pool), true),
-            Par::new(Some(&pool), false),
-        ] {
+        for par in [Par::serial(), Par::new(Some(&pool))] {
             let mut fused_amps = ramp(len);
             fused(par, &mut fused_amps, &positions, &gates).unwrap();
             assert_bit_identical(&reference, &fused_amps, "fused");
@@ -1670,14 +1629,12 @@ mod tests {
         for positions in [[0usize, 1], [5, 7]] {
             let len = 1usize << 9;
             let mut reference = ramp(len);
-            h(Par::scalar(), &mut reference, positions[0]);
-            cx(Par::scalar(), &mut reference, positions[0], 1, positions[1]);
-            z(Par::scalar(), &mut reference, positions[1], 1);
-            for par in [Par::scalar(), Par::serial()] {
-                let mut got = ramp(len);
-                fused(par, &mut got, &positions, &gates).unwrap();
-                assert_bit_identical(&reference, &got, &format!("positions {positions:?}"));
-            }
+            h(Par::serial(), &mut reference, positions[0]);
+            cx(Par::serial(), &mut reference, positions[0], 1, positions[1]);
+            z(Par::serial(), &mut reference, positions[1], 1);
+            let mut got = ramp(len);
+            fused(Par::serial(), &mut got, &positions, &gates).unwrap();
+            assert_bit_identical(&reference, &got, &format!("positions {positions:?}"));
         }
     }
 
@@ -1934,15 +1891,12 @@ mod tests {
         }
         let want = Amps::from_complex(&want);
 
-        for simd in [false, true] {
-            let mut amps = ramp(len);
-            let mut scratch = Amps::zeroed(0);
-            let par = Par { pool: None, simd };
-            permute(par, &mut amps, &mut scratch, &positions, &gates).unwrap();
-            assert_bit_identical(&amps, &want, "serial permute");
-            // Old amplitudes land in the swapped-out scratch.
-            assert_bit_identical(&scratch, &ramp(len), "swapped-out source");
-        }
+        let mut amps = ramp(len);
+        let mut scratch = Amps::zeroed(0);
+        permute(Par::serial(), &mut amps, &mut scratch, &positions, &gates).unwrap();
+        assert_bit_identical(&amps, &want, "serial permute");
+        // Old amplitudes land in the swapped-out scratch.
+        assert_bit_identical(&scratch, &ramp(len), "swapped-out source");
     }
 
     /// Pooled permutation sweeps are bit-identical to serial ones, above
@@ -1969,10 +1923,7 @@ mod tests {
         let pool = AmpPool::new(4);
         let mut parallel = ramp(len);
         let mut pscratch = Amps::zeroed(0);
-        let par = Par {
-            pool: Some(&pool),
-            simd: true,
-        };
+        let par = Par::new(Some(&pool));
         permute(par, &mut parallel, &mut pscratch, &positions, &gates).unwrap();
         assert_bit_identical(&parallel, &serial, "pooled permute");
     }

@@ -65,10 +65,8 @@
 //! deterministic chunking — bit-identical results at any lane count.
 //! Amplitudes live in cache-line-aligned structure-of-arrays re/im
 //! buffers, and the kernels walk them as grouped strided spans whose
-//! inner loops autovectorize (explicit 8-wide lane chunks, stable Rust);
-//! [`StateVector::with_simd`] / `MBU_SIMD` selects between that vectorized
-//! enumeration and the scalar reference enumeration, with amplitudes
-//! bit-identical either way. The
+//! inner loops autovectorize (explicit 8-wide lane chunks, stable Rust),
+//! bit-identical to the full-sweep [`KernelMode::Scan`] reference. The
 //! [`ShotRunner`] builds on those seams: a seeded, deterministic,
 //! multi-threaded ensemble engine that compiles the circuit once, shares
 //! the immutable program across all workers, divides one thread budget

@@ -39,7 +39,7 @@ use crate::complex::Complex;
 use crate::error::SimError;
 use crate::exec::{self, Executed};
 use crate::simulator::{ConcreteFork, Fork, Simulator};
-use crate::sparse::MAX_SPARSEVECTOR_QUBITS;
+use crate::sparse::{bit_addr, cmp_keys, is_zero, MAX_SPARSEVECTOR_QUBITS};
 
 /// Branch-count ceiling for materialisation fallbacks: a gate that would
 /// expand the occupied set past this many branches reports
@@ -267,26 +267,6 @@ pub(crate) struct Branch {
     pub(crate) phis: Vec<Dyadic>,
 }
 
-/// Ascending numeric comparison of two equal-width little-endian keys.
-fn cmp_keys(a: &[u64], b: &[u64]) -> Ordering {
-    for (wa, wb) in a.iter().rev().zip(b.iter().rev()) {
-        match wa.cmp(wb) {
-            Ordering::Equal => {}
-            other => return other,
-        }
-    }
-    Ordering::Equal
-}
-
-fn is_zero_amp(a: Complex) -> bool {
-    a.re == 0.0 && a.im == 0.0
-}
-
-/// The (word, mask) address of qubit `q` inside a key.
-fn bit_addr(q: QubitId) -> (usize, u64) {
-    (q.index() / 64, 1u64 << (q.index() % 64))
-}
-
 /// The phase-accumulator simulation backend (`MBU_BACKEND=phase`).
 ///
 /// See the [module docs](self) for the representation. Functionally exact
@@ -413,7 +393,7 @@ impl PhaseAccumulator {
             .all(|b| b.key.len() == words && b.phis.len() == fourier_qubits.len()));
         debug_assert!((1..branches.len())
             .all(|e| cmp_keys(&branches[e - 1].key, &branches[e].key) == Ordering::Less));
-        debug_assert!(!branches.iter().any(|b| is_zero_amp(b.amp)));
+        debug_assert!(!branches.iter().any(|b| is_zero(b.amp)));
         let mut fourier = vec![false; num_qubits];
         for q in &fourier_qubits {
             fourier[*q as usize] = true;
@@ -622,7 +602,7 @@ impl PhaseAccumulator {
             i += 1;
             let out0 = (a + b).scale(scale);
             let out1 = (a - b).scale(scale);
-            if !is_zero_amp(out0) {
+            if !is_zero(out0) {
                 out.push(Branch {
                     key: base.clone(),
                     amp: out0,
@@ -630,7 +610,7 @@ impl PhaseAccumulator {
                     phis: Vec::new(),
                 });
             }
-            if !is_zero_amp(out1) {
+            if !is_zero(out1) {
                 base[bw] |= bm;
                 out.push(Branch {
                     key: base,
@@ -887,7 +867,7 @@ impl PhaseAccumulator {
                 return false;
             }
             b.amp = b.amp.scale(scale);
-            !is_zero_amp(b.amp)
+            !is_zero(b.amp)
         });
     }
 

@@ -116,11 +116,12 @@ pub struct SparseVector {
 }
 
 /// Ascending numeric comparison of two equal-width little-endian keys.
-// The key helpers and the binary search below address the packed key
+// The key helpers (shared with the phase accumulator, whose branches use
+// the same key layout) and the binary search below address the packed key
 // words of every occupied entry; a wrapped index would silently read the
 // wrong entry's key, so their arithmetic must be visibly in-bounds.
 #[deny(clippy::arithmetic_side_effects)]
-fn cmp_keys(a: &[u64], b: &[u64]) -> std::cmp::Ordering {
+pub(crate) fn cmp_keys(a: &[u64], b: &[u64]) -> std::cmp::Ordering {
     for (wa, wb) in a.iter().rev().zip(b.iter().rev()) {
         match wa.cmp(wb) {
             std::cmp::Ordering::Equal => {}
@@ -133,13 +134,13 @@ fn cmp_keys(a: &[u64], b: &[u64]) -> std::cmp::Ordering {
 /// Whether an amplitude is an exact complex zero (either signed zero in
 /// both components) — the only kind of entry the map culls, so the
 /// occupied set matches the dense array's nonzero support exactly.
-fn is_zero(a: Complex) -> bool {
+pub(crate) fn is_zero(a: Complex) -> bool {
     a.re == 0.0 && a.im == 0.0
 }
 
 /// The (word, mask) address of qubit `q` inside a key.
 #[deny(clippy::arithmetic_side_effects)]
-fn bit_addr(q: QubitId) -> (usize, u64) {
+pub(crate) fn bit_addr(q: QubitId) -> (usize, u64) {
     (q.index() / 64, 1u64 << (q.index() % 64))
 }
 

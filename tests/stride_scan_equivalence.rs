@@ -1,14 +1,18 @@
-//! Observational invisibility of the SoA/SIMD amplitude kernels.
+//! Observational invisibility of the SoA stride kernels against the
+//! full-sweep reference.
 //!
-//! `MBU_SIMD` (and the [`StateVector::with_simd`] builder) switches the
-//! dense engine between lane-grouped SoA enumeration and the seed's
-//! per-amplitude scalar walk. The switch reorders *iteration*, never
-//! arithmetic: every per-amplitude operation keeps its exact sequence of
-//! floating-point steps, and every reduction keeps ascending-index
-//! order. So SIMD on vs off must be **bit-identical** — amplitudes, RNG
-//! consumption, classical records, executed counts and ensemble
-//! aggregates — across kernel modes, fusion on/off, reclamation on/off
-//! and amplitude-lane counts, on the paper's random MBU modular adders.
+//! [`KernelMode::Stride`] walks only the amplitudes a gate can move, as
+//! lane-grouped runs over the structure-of-arrays buffers;
+//! [`KernelMode::Scan`] sweeps all `2^n` entries with a per-index branch.
+//! The two differ in *iteration*, never arithmetic: every per-amplitude
+//! operation keeps its exact sequence of floating-point steps, and every
+//! reduction keeps ascending-index order. So Stride vs Scan must be
+//! **bit-identical** — amplitudes, RNG consumption, classical records,
+//! executed counts and ensemble aggregates — across fusion on/off,
+//! reclamation on/off and amplitude-lane counts, on the paper's random
+//! MBU modular adders. (The one exception is the sign of an exact zero in
+//! a branch the reclaiming stride run dropped: see
+//! [`assert_bit_identical`].)
 //!
 //! The second proptest drives tiny adaptive circuits (1–3 qubits, 2–8
 //! amplitudes) where whole states are shorter than one 8-wide lane
@@ -41,38 +45,60 @@ fn passes(fuse: usize) -> PassConfig {
     }
 }
 
-/// Asserts bit-identical state and draws between a finished SIMD run and
-/// its scalar twin.
+/// Asserts bit-identical state and draws between a finished stride run
+/// and its scan twin.
+///
+/// With `reclaimed`, the stride run compacted its dropped qubits away and
+/// re-expands their discarded branches as `+0.0`, while the scan
+/// reference (which ignores `Drop`) still holds the signed zeros the
+/// measurement projection left there. Exact zeros then compare by value;
+/// every other amplitude still compares by bits.
 fn assert_bit_identical(
     label: &str,
-    sv_simd: &StateVector,
-    sv_scalar: &StateVector,
-    rng_simd: &mut StdRng,
-    rng_scalar: &mut StdRng,
+    reclaimed: bool,
+    sv_stride: &StateVector,
+    sv_scan: &StateVector,
+    rng_stride: &mut StdRng,
+    rng_scan: &mut StdRng,
 ) -> Result<(), TestCaseError> {
     prop_assert_eq!(
-        rng_simd.next_u64(),
-        rng_scalar.next_u64(),
+        rng_stride.next_u64(),
+        rng_scan.next_u64(),
         "{}: RNG streams diverged",
         label
     );
-    let amps_simd = sv_simd.amplitudes();
-    let amps_scalar = sv_scalar.amplitudes();
-    prop_assert_eq!(amps_simd.len(), amps_scalar.len(), "{}: lengths", label);
-    for (i, (a, b)) in amps_simd.iter().zip(&amps_scalar).enumerate() {
-        prop_assert_eq!(a.re.to_bits(), b.re.to_bits(), "{}: re of amp {}", label, i);
-        prop_assert_eq!(a.im.to_bits(), b.im.to_bits(), "{}: im of amp {}", label, i);
+    let amps_stride = sv_stride.amplitudes();
+    let amps_scan = sv_scan.amplitudes();
+    prop_assert_eq!(amps_stride.len(), amps_scan.len(), "{}: lengths", label);
+    let same = |x: f64, y: f64| x.to_bits() == y.to_bits() || (reclaimed && x == 0.0 && y == 0.0);
+    for (i, (a, b)) in amps_stride.iter().zip(&amps_scan).enumerate() {
+        prop_assert!(
+            same(a.re, b.re),
+            "{}: re of amp {}: {:e} vs {:e}",
+            label,
+            i,
+            a.re,
+            b.re
+        );
+        prop_assert!(
+            same(a.im, b.im),
+            "{}: im of amp {}: {:e} vs {:e}",
+            label,
+            i,
+            a.im,
+            b.im
+        );
     }
     Ok(())
 }
 
 proptest! {
-    // Each case simulates an up-to-18-qubit modadd 16 times (2 kernel
-    // modes × fused/unfused × reclamation on/off × SIMD on/off).
+    // Each case simulates an up-to-18-qubit modadd 8 times (fused/unfused
+    // × reclamation on/off × stride/scan).
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     #[test]
-    fn simd_switch_is_bit_invisible_on_mbu_modadds(
+    fn stride_matches_scan_on_mbu_modadds(
         n in 2usize..=4,
         pk in 0u128..1_000_000,
         xk in 0u128..1_000_000,
@@ -97,39 +123,36 @@ proptest! {
         for fuse in [0usize, 3] {
             let compiled =
                 CompiledCircuit::with_config(&layout.circuit, &passes(fuse)).unwrap();
-            for mode in [KernelMode::Stride, KernelMode::Scan] {
-                for reclaim in [true, false] {
-                    let label = format!("fuse={fuse} {mode:?} reclaim={reclaim} lanes={lanes}");
-                    let build = |simd: bool| {
-                        StateVector::basis(nq, input)
-                            .unwrap()
-                            .with_kernel_mode(mode)
-                            .with_reclamation(reclaim)
-                            .with_amp_threads(lanes)
-                            .with_simd(simd)
-                    };
+            for reclaim in [true, false] {
+                let label = format!("fuse={fuse} reclaim={reclaim} lanes={lanes}");
+                let build = |mode: KernelMode| {
+                    StateVector::basis(nq, input)
+                        .unwrap()
+                        .with_kernel_mode(mode)
+                        .with_reclamation(reclaim)
+                        .with_amp_threads(lanes)
+                };
 
-                    let mut sv_simd = build(true);
-                    let mut rng_simd = StdRng::seed_from_u64(seed);
-                    let ex_simd = sv_simd.run_compiled(&compiled, &mut rng_simd).unwrap();
+                let mut sv_stride = build(KernelMode::Stride);
+                let mut rng_stride = StdRng::seed_from_u64(seed);
+                let ex_stride = sv_stride.run_compiled(&compiled, &mut rng_stride).unwrap();
 
-                    let mut sv_scalar = build(false);
-                    let mut rng_scalar = StdRng::seed_from_u64(seed);
-                    let ex_scalar =
-                        sv_scalar.run_compiled(&compiled, &mut rng_scalar).unwrap();
+                let mut sv_scan = build(KernelMode::Scan);
+                let mut rng_scan = StdRng::seed_from_u64(seed);
+                let ex_scan = sv_scan.run_compiled(&compiled, &mut rng_scan).unwrap();
 
-                    prop_assert_eq!(&ex_simd, &ex_scalar, "{}", &label);
-                    assert_bit_identical(
-                        &label,
-                        &sv_simd,
-                        &sv_scalar,
-                        &mut rng_simd,
-                        &mut rng_scalar,
-                    )?;
-                    // Both still compute the paper's modular sum.
-                    prop_assert_eq!(sv_simd.value(layout.x.qubits()).unwrap(), x);
-                    prop_assert_eq!(sv_simd.value(layout.y.qubits()).unwrap(), (x + y) % p);
-                }
+                prop_assert_eq!(&ex_stride, &ex_scan, "{}", &label);
+                assert_bit_identical(
+                    &label,
+                    reclaim,
+                    &sv_stride,
+                    &sv_scan,
+                    &mut rng_stride,
+                    &mut rng_scan,
+                )?;
+                // Both still compute the paper's modular sum.
+                prop_assert_eq!(sv_stride.value(layout.x.qubits()).unwrap(), x);
+                prop_assert_eq!(sv_stride.value(layout.y.qubits()).unwrap(), (x + y) % p);
             }
         }
     }
@@ -179,28 +202,31 @@ proptest! {
     /// Whole states below one lane group: 1–3 qubits is 2–8 amplitudes,
     /// so the SoA kernels run nothing but their remainder paths here.
     #[test]
-    fn simd_switch_is_bit_invisible_below_one_lane_group(
+    fn stride_matches_scan_below_one_lane_group(
         nq in 1usize..=3,
         specs in collection::vec((0u8..12, 0u32..8, 0u32..8, 0u32..16), 0..24usize),
         seed in 0u64..u64::MAX,
     ) {
         let circuit = tiny_circuit(nq, &specs);
 
-        let mut sv_simd = StateVector::zeros(nq).unwrap().with_simd(true);
-        let mut rng_simd = StdRng::seed_from_u64(seed);
-        let ex_simd = sv_simd.run(&circuit, &mut rng_simd).unwrap();
+        let mut sv_stride = StateVector::zeros(nq).unwrap();
+        let mut rng_stride = StdRng::seed_from_u64(seed);
+        let ex_stride = sv_stride.run(&circuit, &mut rng_stride).unwrap();
 
-        let mut sv_scalar = StateVector::zeros(nq).unwrap().with_simd(false);
-        let mut rng_scalar = StdRng::seed_from_u64(seed);
-        let ex_scalar = sv_scalar.run(&circuit, &mut rng_scalar).unwrap();
+        let mut sv_scan = StateVector::zeros(nq)
+            .unwrap()
+            .with_kernel_mode(KernelMode::Scan);
+        let mut rng_scan = StdRng::seed_from_u64(seed);
+        let ex_scan = sv_scan.run(&circuit, &mut rng_scan).unwrap();
 
-        prop_assert_eq!(&ex_simd, &ex_scalar);
+        prop_assert_eq!(&ex_stride, &ex_scan);
         assert_bit_identical(
             "tiny",
-            &sv_simd,
-            &sv_scalar,
-            &mut rng_simd,
-            &mut rng_scalar,
+            false,
+            &sv_stride,
+            &sv_scan,
+            &mut rng_stride,
+            &mut rng_scan,
         )?;
     }
 }
@@ -215,33 +241,33 @@ fn classical_view(e: &Ensemble) -> impl PartialEq + std::fmt::Debug {
 }
 
 #[test]
-fn ensemble_aggregates_survive_the_simd_switch() {
+fn ensemble_aggregates_match_across_kernel_modes() {
     // A 2-stage MBU modadd chain under the shot engine: aggregates from
-    // factories differing only in `with_simd` must be bit-identical.
+    // factories differing only in the kernel mode must be bit-identical.
     let spec = ModAddSpec::cdkpm(Uncompute::Mbu);
     let chain = modular::modadd_chain_circuit(&spec, 2, 3, 2).unwrap();
     let nq = chain.circuit.num_qubits();
-    let factory = |simd: bool| {
+    let factory = |mode: KernelMode| {
         let chain = &chain;
         move || {
-            let mut sv = StateVector::zeros(nq).unwrap().with_simd(simd);
+            let mut sv = StateVector::zeros(nq).unwrap().with_kernel_mode(mode);
             sv.set_value(chain.x.qubits(), 2).unwrap();
             sv.set_value(chain.y.qubits(), 1).unwrap();
             Box::new(sv) as Box<dyn Simulator>
         }
     };
 
-    let on = ShotRunner::new(48)
-        .run(&chain.circuit, factory(true))
+    let stride = ShotRunner::new(48)
+        .run(&chain.circuit, factory(KernelMode::Stride))
         .unwrap();
-    let off = ShotRunner::new(48)
-        .run(&chain.circuit, factory(false))
+    let scan = ShotRunner::new(48)
+        .run(&chain.circuit, factory(KernelMode::Scan))
         .unwrap();
-    assert_eq!(classical_view(&on), classical_view(&off));
-    for clbit in 0..on.num_clbits() {
+    assert_eq!(classical_view(&stride), classical_view(&scan));
+    for clbit in 0..stride.num_clbits() {
         assert_eq!(
-            on.outcome_frequency(clbit),
-            off.outcome_frequency(clbit),
+            stride.outcome_frequency(clbit),
+            scan.outcome_frequency(clbit),
             "clbit {clbit}"
         );
     }
