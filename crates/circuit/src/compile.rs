@@ -94,6 +94,7 @@
 //! [`PassStats`] implements [`fmt::Display`] too (it is embedded in the
 //! dump header) and exposes per-pass counters as fields.
 
+use std::collections::HashMap;
 use std::fmt;
 
 use crate::circuit::Circuit;
@@ -520,6 +521,11 @@ pub struct PassStats {
     pub fused_gates: u64,
     /// Instructions in the final program.
     pub emitted_instrs: usize,
+    /// Slot visits and index probes made by the peephole window and the
+    /// phase-dead pass: a deterministic measure of their cost, for bounding
+    /// it in tests without a clock. It describes how the passes searched,
+    /// not what they emitted.
+    pub peephole_work: u64,
     /// Deterministic segments in the final program: maximal runs of
     /// unitary instructions between non-unitary barriers
     /// (measurement/reset/drop/branch) and branch join points — the units
@@ -682,7 +688,7 @@ impl CompiledCircuit {
             ..PassStats::default()
         };
         if config.any() {
-            instrs = run_passes(instrs, config, &mut stats);
+            instrs = run_passes(instrs, nq, config, &mut stats);
             crate::verify::expect_valid_stage("peephole", nq, nc, &instrs, &[])?;
         }
         let mut fused = Vec::new();
@@ -1025,9 +1031,12 @@ fn is_identity(g: &Gate) -> bool {
     )
 }
 
-/// Whether the peephole scan may step over `f` while looking for a partner
-/// of `g`: sound when the two commute, which we certify either by disjoint
-/// qubit support or by both being diagonal.
+/// Whether a partner search for `g` may step over `f`: sound when the two
+/// commute, which we certify either by disjoint qubit support or by both
+/// being diagonal. The peephole pass never calls this per pair: its
+/// `PeepholeIndex` encodes the same rule as a blocking bound (see
+/// `peephole`). Only the test-only reference scan calls it.
+#[cfg(test)]
 fn commutes(f: &Gate, g: &Gate) -> bool {
     if f.is_diagonal() && g.is_diagonal() {
         return true;
@@ -1043,66 +1052,76 @@ fn commutes(f: &Gate, g: &Gate) -> bool {
     disjoint
 }
 
-/// Runs the enabled passes over the lowered stream.
-fn run_passes(instrs: Vec<Instr>, config: &PassConfig, stats: &mut PassStats) -> Vec<Instr> {
-    // Branch join points are barriers: a gate after the join executes on
-    // every path, a gate inside the guarded block only sometimes, so the
-    // peephole window must not span the boundary.
-    let mut barrier = vec![false; instrs.len() + 1];
+/// Branch join points of `instrs`: `joins[pc]` is set when some branch
+/// lands on `pc`. A gate after a join executes on every path, a gate
+/// inside the guarded block only sometimes, so no pass window may span
+/// the boundary.
+fn join_points(instrs: &[Instr]) -> Vec<bool> {
+    let mut joins = vec![false; instrs.len() + 1];
     for (pc, instr) in instrs.iter().enumerate() {
         if let Instr::BranchUnless { skip, .. } = instr {
-            barrier[pc + 1 + *skip as usize] = true;
+            joins[pc + 1 + *skip as usize] = true;
         }
     }
-
-    // Slots: None = removed. Process straight-line gate segments.
-    let mut slots: Vec<Option<Instr>> = instrs.into_iter().map(Some).collect();
-    let mut start = 0;
-    for pc in 0..=slots.len() {
-        let is_gate = pc < slots.len() && matches!(slots[pc], Some(Instr::Gate(_)));
-        if !is_gate || barrier[pc] {
-            if pc > start {
-                optimize_segment(&mut slots[start..pc], config, stats);
-            }
-            start = pc + 1;
-            if is_gate && barrier[pc] {
-                start = pc; // the gate at `pc` opens the next segment
-            }
-        }
-    }
-
-    if config.phase_dead_before_measure {
-        eliminate_phase_dead(&mut slots, &barrier, stats);
-    }
-
-    compact_slots(&slots)
+    joins
 }
 
-/// Compacts removed (`None`) slots, recomputing branch skips over the
-/// surviving instructions (branches themselves are never removed, so
-/// guarded regions stay contiguous and only shrink).
-fn compact_slots(slots: &[Option<Instr>]) -> Vec<Instr> {
-    let mut surviving = vec![0usize; slots.len() + 1];
-    for (i, slot) in slots.iter().enumerate() {
-        surviving[i + 1] = surviving[i] + usize::from(slot.is_some());
+/// Runs the enabled passes over the lowered stream.
+fn run_passes(
+    instrs: Vec<Instr>,
+    num_qubits: usize,
+    config: &PassConfig,
+    stats: &mut PassStats,
+) -> Vec<Instr> {
+    let barrier = join_points(&instrs);
+    // Slots: None = removed. `Instr` and `Option<Instr>` share a layout,
+    // so this collect reuses the stream's allocation.
+    let mut slots: Vec<Option<Instr>> = instrs.into_iter().map(Some).collect();
+    peephole(&mut slots, &barrier, num_qubits, config, stats);
+    if config.phase_dead_before_measure {
+        eliminate_phase_dead(&mut slots, &barrier, num_qubits, stats);
     }
-    let mut out = Vec::with_capacity(surviving[slots.len()]);
-    for (i, slot) in slots.iter().enumerate() {
-        match slot {
-            None => {}
-            Some(Instr::BranchUnless { clbit, skip }) => {
-                let end = i + 1 + *skip as usize;
-                let new_skip = u32::try_from(surviving[end] - surviving[i + 1])
-                    .expect("skip shrank below u32::MAX");
-                out.push(Instr::BranchUnless {
-                    clbit: *clbit,
-                    skip: new_skip,
-                });
-            }
-            Some(instr) => out.push(*instr),
+    compact_slots(slots)
+}
+
+/// Compacts removed (`None`) slots in place, recomputing branch skips over
+/// the surviving instructions (branches themselves are never removed, so
+/// guarded regions stay contiguous and only shrink). The result reuses
+/// the slots' allocation: the stream is never held twice.
+fn compact_slots(mut slots: Vec<Option<Instr>>) -> Vec<Instr> {
+    // Open branches as (write index, old join target). Guarded regions
+    // nest, so the innermost open branch always closes first.
+    let mut open: Vec<(usize, usize)> = Vec::new();
+    let mut w = 0;
+    for r in 0..slots.len() {
+        while let Some(&(at, _)) = open.last().filter(|&&(_, end)| end == r) {
+            close_branch(&mut slots, at, w);
+            open.pop();
         }
+        let Some(instr) = slots[r].take() else {
+            continue;
+        };
+        if let Instr::BranchUnless { skip, .. } = instr {
+            open.push((w, r + 1 + skip as usize));
+        }
+        slots[w] = Some(instr);
+        w += 1;
     }
-    out
+    while let Some((at, _)) = open.pop() {
+        close_branch(&mut slots, at, w);
+    }
+    slots.truncate(w);
+    // Every remaining slot is `Some`; `map_while` (unlike `flatten`)
+    // collects in place.
+    slots.into_iter().map_while(|slot| slot).collect()
+}
+
+/// Sets the skip of the compacted branch at `at` so its region ends just
+/// before write index `end`.
+fn close_branch(slots: &mut [Option<Instr>], at: usize, end: usize) {
+    if let Some(Instr::BranchUnless { skip, .. }) = &mut slots[at] {
+        *skip = u32::try_from(end - at - 1).expect("skip shrank below u32::MAX");
+    }
 }
 
 /// The estimated amplitude-array traffic of one unfused kernel sweep for
@@ -1245,13 +1264,7 @@ fn fuse_gates(
     max_qubits: usize,
     stats: &mut PassStats,
 ) -> (Vec<Instr>, Vec<FusedUnitary>) {
-    let mut barrier = vec![false; instrs.len() + 1];
-    for (pc, instr) in instrs.iter().enumerate() {
-        if let Instr::BranchUnless { skip, .. } = instr {
-            barrier[pc + 1 + *skip as usize] = true;
-        }
-    }
-
+    let barrier = join_points(&instrs);
     let mut slots: Vec<Option<Instr>> = instrs.into_iter().map(Some).collect();
     let mut table: Vec<FusedUnitary> = Vec::new();
     greedy_fuse(
@@ -1273,7 +1286,7 @@ fn fuse_gates(
         |_| true,
     );
 
-    (compact_slots(&slots), table)
+    (compact_slots(slots), table)
 }
 
 /// Liveness analysis for qubit reclamation: for every qubit that is
@@ -1368,47 +1381,226 @@ fn reclaim_dead_qubits(
     out
 }
 
-/// Cancellation, merging and identity elimination within one straight-line
-/// run of gates.
-fn optimize_segment(slots: &mut [Option<Instr>], config: &PassConfig, stats: &mut PassStats) {
-    let gate_at = |slot: &Option<Instr>| match slot {
-        Some(Instr::Gate(g)) => Some(*g),
-        _ => None,
+/// The partner key of a gate: its family plus its canonical support. Two
+/// gates share a key exactly when [`same_unitary`] holds for a
+/// self-inverse family or [`merge_rotations`] may fold a rotation pair —
+/// operand order is dropped for `CZ`/`SWAP`/`CPhase` pairs, `CCZ`/`CCPhase`
+/// triples and the Toffoli control pair, and kept for `CX`.
+type PartnerKey = (u8, [u32; 3]);
+
+fn partner_key(g: &Gate) -> PartnerKey {
+    const NONE: u32 = u32::MAX;
+    let pair = |a: QubitId, b: QubitId| {
+        if a <= b {
+            [a.0, b.0, NONE]
+        } else {
+            [b.0, a.0, NONE]
+        }
     };
-    for i in 0..slots.len() {
-        let Some(mut g) = gate_at(&slots[i]) else {
-            continue;
+    let triple = |a, b, c| {
+        let (x, y, z) = set3(a, b, c);
+        [x.0, y.0, z.0]
+    };
+    match *g {
+        Gate::X(q) => (0, [q.0, NONE, NONE]),
+        Gate::Z(q) => (1, [q.0, NONE, NONE]),
+        Gate::H(q) => (2, [q.0, NONE, NONE]),
+        Gate::Phase(q, _) => (3, [q.0, NONE, NONE]),
+        Gate::Cx(c, t) => (4, [c.0, t.0, NONE]),
+        Gate::Cz(a, b) => (5, pair(a, b)),
+        Gate::Swap(a, b) => (6, pair(a, b)),
+        Gate::CPhase(a, b, _) => (7, pair(a, b)),
+        Gate::Ccx(a, b, t) => {
+            let [x, y, _] = pair(a, b);
+            (8, [x, y, t.0])
+        }
+        Gate::Ccz(a, b, c) => (9, triple(a, b, c)),
+        Gate::CcPhase(a, b, c, _) => (10, triple(a, b, c)),
+    }
+}
+
+/// The live gates of the current straight-line segment, indexed so each
+/// new gate finds its cancellation or merge partners without rescanning
+/// the segment. Every stack holds slot positions in ascending order and is
+/// pruned lazily: entries whose slot was removed, or that lie before the
+/// current segment, are dropped when they surface.
+struct PeepholeIndex {
+    /// Per qubit: every gate touching it.
+    touching: Vec<Vec<u32>>,
+    /// Per qubit: every non-diagonal gate touching it.
+    non_diagonal: Vec<Vec<u32>>,
+    /// Per partner key: every gate with that key. Only looked up, never
+    /// iterated, so hash order cannot reach the output.
+    partners: HashMap<PartnerKey, Vec<u32>>,
+}
+
+/// The newest live position on `stack` at or after `floor` (the start of
+/// the current segment), popping removed entries on the way. Entries from
+/// earlier segments all lie below the floor and are cleared at once.
+fn newest_live(
+    stack: &mut Vec<u32>,
+    slots: &[Option<Instr>],
+    floor: u32,
+    work: &mut u64,
+) -> Option<u32> {
+    while let Some(&p) = stack.last() {
+        *work += 1;
+        if p < floor {
+            stack.clear();
+        } else if slots[p as usize].is_some() {
+            return Some(p);
+        } else {
+            stack.pop();
+        }
+    }
+    None
+}
+
+impl PeepholeIndex {
+    fn new(num_qubits: usize) -> Self {
+        Self {
+            touching: vec![Vec::new(); num_qubits],
+            non_diagonal: vec![Vec::new(); num_qubits],
+            partners: HashMap::new(),
+        }
+    }
+
+    /// Cancels or merges the gate `g` at `pos` against the live gates of
+    /// its segment (which starts at `floor`), then indexes what is left.
+    fn visit(
+        &mut self,
+        slots: &mut [Option<Instr>],
+        pos: u32,
+        mut g: Gate,
+        floor: u32,
+        config: &PassConfig,
+        stats: &mut PassStats,
+    ) {
+        let work = &mut stats.peephole_work;
+        // The blocking bound: the newest live gate that does not commute
+        // with `g` — a non-diagonal one on its qubits if `g` is diagonal,
+        // any gate on its qubits otherwise.
+        let diagonal = g.is_diagonal();
+        let blockers = if diagonal {
+            &mut self.non_diagonal
+        } else {
+            &mut self.touching
         };
-        // Walk backwards over removed slots and commuting gates, looking
-        // for a cancellation partner or a mergeable rotation.
-        let mut j = i;
-        while j > 0 {
-            j -= 1;
-            let Some(h) = gate_at(&slots[j]) else {
-                continue;
-            };
-            if config.cancel_self_inverse && self_inverse(&g) && same_unitary(&g, &h) {
-                slots[i] = None;
-                slots[j] = None;
-                stats.cancelled += 2;
-                break;
-            }
-            if config.merge_rotations {
-                if let Some(merged) = merge_rotations(&g, &h) {
-                    slots[j] = None;
-                    stats.merged += 1;
-                    g = merged;
-                    slots[i] = Some(Instr::Gate(g));
-                    continue; // keep scanning: more partners may commute up
+        let mut bound = None;
+        g.for_each_qubit(&mut |q| {
+            bound = bound.max(newest_live(&mut blockers[q.index()], slots, floor, work));
+        });
+
+        let partners = self.partners.entry(partner_key(&g)).or_default();
+        if self_inverse(&g) {
+            if config.cancel_self_inverse {
+                // A same-key gate is tried before the commutation test, so
+                // the blocking gate itself may be the partner.
+                let lo = bound.unwrap_or(floor);
+                if let Some(p) = newest_live(partners, slots, floor, work).filter(|&p| p >= lo) {
+                    debug_assert!(
+                        matches!(slots[p as usize], Some(Instr::Gate(h)) if same_unitary(&g, &h))
+                    );
+                    slots[p as usize] = None;
+                    slots[pos as usize] = None;
+                    partners.pop();
+                    stats.cancelled += 2;
+                    return;
                 }
             }
-            if !commutes(&h, &g) {
-                break;
+        } else if config.merge_rotations {
+            // Merge newest first with every same-key rotation above the
+            // bound. A pair whose exact sum does not fit stays in place,
+            // and later same-key gates retry it.
+            let lo = bound.map_or(floor, |b| b + 1);
+            let mut first = partners.len();
+            while first > 0 && partners[first - 1] >= lo {
+                first -= 1;
             }
+            for &p in partners[first..].iter().rev() {
+                *work += 1;
+                if let Some(Instr::Gate(h)) = slots[p as usize] {
+                    if let Some(merged) = merge_rotations(&g, &h) {
+                        slots[p as usize] = None;
+                        stats.merged += 1;
+                        g = merged;
+                    }
+                }
+            }
+            slots[pos as usize] = Some(Instr::Gate(g));
+            let mut kept = first;
+            for r in first..partners.len() {
+                let p = partners[r];
+                if slots[p as usize].is_some() {
+                    partners[kept] = p;
+                    kept += 1;
+                }
+            }
+            partners.truncate(kept);
+        }
+        partners.push(pos);
+        g.for_each_qubit(&mut |q| {
+            self.touching[q.index()].push(pos);
+            if !diagonal {
+                self.non_diagonal[q.index()].push(pos);
+            }
+        });
+    }
+}
+
+/// Cancellation, merging and identity elimination over every straight-line
+/// gate segment of `slots` (segments end at every non-gate slot and start
+/// again at every branch join).
+///
+/// The decisions are those of a backward scan from each gate `g`: step
+/// over removed slots and over gates that commute with `g` (`commutes`:
+/// disjoint support, or both diagonal); at each live gate, first try to
+/// cancel `g` against it (identical self-inverse gates, [`same_unitary`])
+/// or to merge it into `g` (same-support rotations, [`merge_rotations`],
+/// then keep scanning); stop at the first gate that neither pairs nor
+/// commutes. Rescanning is quadratic on long commuting runs — a QFT
+/// interior is one — so a [`PeepholeIndex`] finds the same partners
+/// directly:
+///
+/// * the *blocking bound* is the newest live gate on `g`'s qubits that
+///   does not commute with `g`;
+/// * a self-inverse `g` cancels with the newest live same-key gate at or
+///   above the bound;
+/// * a rotation `g` merges, newest first, with every live same-key gate
+///   above the bound; a pair whose exact angle sum does not fit
+///   ([`Angle::checked_add`](crate::Angle::checked_add)) stays, and later
+///   same-key gates retry it.
+///
+/// Each gate pushes at most `2·arity + 1` stack entries and each entry is
+/// popped at most once, so the pass is linear up to the unmergeable
+/// rotation pairs that later partners revisit.
+/// [`PassStats::peephole_work`] counts the slot visits and index probes.
+fn peephole(
+    slots: &mut [Option<Instr>],
+    barrier: &[bool],
+    num_qubits: usize,
+    config: &PassConfig,
+    stats: &mut PassStats,
+) {
+    if config.cancel_self_inverse || config.merge_rotations {
+        let len = u32::try_from(slots.len()).expect("instruction stream fits u32 positions");
+        let mut index = PeepholeIndex::new(num_qubits);
+        let mut floor = 0;
+        for pos in 0..len {
+            stats.peephole_work += 1;
+            let Some(Instr::Gate(g)) = slots[pos as usize] else {
+                floor = pos + 1;
+                continue;
+            };
+            if barrier[pos as usize] {
+                floor = pos;
+            }
+            index.visit(slots, pos, g, floor, config, stats);
         }
     }
     if config.remove_identities {
         for slot in slots.iter_mut() {
+            stats.peephole_work += 1;
             if let Some(Instr::Gate(g)) = slot {
                 if is_identity(g) {
                     *slot = None;
@@ -1421,54 +1613,46 @@ fn optimize_segment(slots: &mut [Option<Instr>], config: &PassConfig, stats: &mu
 
 /// Drops `Z`/`Phase` gates whose qubit is next consumed by a Z-basis
 /// measurement or reset (global-phase-only effect on the collapsed state).
-fn eliminate_phase_dead(slots: &mut [Option<Instr>], barrier: &[bool], stats: &mut PassStats) {
-    for i in 0..slots.len() {
-        let q = match slots[i] {
-            Some(Instr::Gate(Gate::Z(q) | Gate::Phase(q, _))) => q,
-            _ => continue,
-        };
-        // Scan forward for the next operation consuming `q`; stop at any
-        // control-flow boundary. Diagonal gates commute past the candidate,
-        // so they may be stepped over even when they touch `q`.
-        let mut dead = false;
-        for (j, slot) in slots.iter().enumerate().skip(i + 1) {
-            if barrier[j] {
-                break;
+///
+/// One reverse sweep tracks each qubit's next consumer. A `Z`-measurement
+/// or a reset marks the qubit dead; an `X`-measurement or a non-diagonal
+/// gate touching it marks it live. Diagonal gates (which commute past the
+/// candidate), drops and other qubits' measurements are stepped over. A
+/// fused block, a branch or a branch join ends every qubit's window at
+/// once: the per-qubit state carries a generation stamp, so that is one
+/// increment instead of a clear over all qubits.
+fn eliminate_phase_dead(
+    slots: &mut [Option<Instr>],
+    barrier: &[bool],
+    num_qubits: usize,
+    stats: &mut PassStats,
+) {
+    // next[q] = (generation, dead); a stale generation reads as live.
+    let mut next = vec![(0u64, false); num_qubits];
+    let mut generation = 1u64;
+    for pc in (0..slots.len()).rev() {
+        stats.peephole_work += 1;
+        match slots[pc] {
+            Some(Instr::Gate(Gate::Z(q) | Gate::Phase(q, _))) => {
+                if next[q.index()] == (generation, true) {
+                    slots[pc] = None;
+                    stats.phase_dead_removed += 1;
+                }
             }
-            match slot {
-                None => continue,
-                Some(Instr::Gate(g)) => {
-                    if g.is_diagonal() {
-                        continue;
-                    }
-                    let mut touches = false;
-                    g.for_each_qubit(&mut |qq| touches |= qq == q);
-                    if touches {
-                        break;
-                    }
+            Some(Instr::Gate(g)) => {
+                if !g.is_diagonal() {
+                    g.for_each_qubit(&mut |q| next[q.index()] = (generation, false));
                 }
-                Some(Instr::Measure { qubit, basis, .. }) => {
-                    if *qubit == q {
-                        dead = *basis == Basis::Z;
-                        break;
-                    }
-                }
-                Some(Instr::Reset(qubit)) => {
-                    if *qubit == q {
-                        dead = true;
-                        break;
-                    }
-                }
-                // Drops never move amplitudes; stepping over is safe (and
-                // the reclamation pass runs after this one anyway).
-                Some(Instr::Drop(_)) => continue,
-                // Fused blocks only appear after this pass; conservative.
-                Some(Instr::Fused(_)) | Some(Instr::BranchUnless { .. }) => break,
             }
+            Some(Instr::Measure { qubit, basis, .. }) => {
+                next[qubit.index()] = (generation, basis == Basis::Z);
+            }
+            Some(Instr::Reset(q)) => next[q.index()] = (generation, true),
+            Some(Instr::Drop(_)) | None => {}
+            Some(Instr::Fused(_) | Instr::BranchUnless { .. }) => generation += 1,
         }
-        if dead {
-            slots[i] = None;
-            stats.phase_dead_removed += 1;
+        if barrier[pc] {
+            generation += 1;
         }
     }
 }
@@ -2158,5 +2342,312 @@ mod tests {
         let compiled = CompiledCircuit::lower(&Circuit::from_ops(1, 0, vec![])).unwrap();
         assert!(compiled.segments().is_empty());
         assert_eq!(compiled.fork_points(), 0);
+    }
+
+    /// The backward scan the indexed peephole pass replaced, kept as the
+    /// reference the pass must match slot for slot: per straight-line
+    /// segment, each gate walks back over removed slots and commuting
+    /// gates to a cancellation or merge partner.
+    fn reference_optimize_segment(
+        slots: &mut [Option<Instr>],
+        config: &PassConfig,
+        stats: &mut PassStats,
+    ) {
+        let gate_at = |slot: &Option<Instr>| match slot {
+            Some(Instr::Gate(g)) => Some(*g),
+            _ => None,
+        };
+        for i in 0..slots.len() {
+            let Some(mut g) = gate_at(&slots[i]) else {
+                continue;
+            };
+            let mut j = i;
+            while j > 0 {
+                j -= 1;
+                let Some(h) = gate_at(&slots[j]) else {
+                    continue;
+                };
+                if config.cancel_self_inverse && self_inverse(&g) && same_unitary(&g, &h) {
+                    slots[i] = None;
+                    slots[j] = None;
+                    stats.cancelled += 2;
+                    break;
+                }
+                if config.merge_rotations {
+                    if let Some(merged) = merge_rotations(&g, &h) {
+                        slots[j] = None;
+                        stats.merged += 1;
+                        g = merged;
+                        slots[i] = Some(Instr::Gate(g));
+                        continue;
+                    }
+                }
+                if !commutes(&h, &g) {
+                    break;
+                }
+            }
+        }
+        if config.remove_identities {
+            for slot in slots.iter_mut() {
+                if let Some(Instr::Gate(g)) = slot {
+                    if is_identity(g) {
+                        *slot = None;
+                        stats.identities_removed += 1;
+                    }
+                }
+            }
+        }
+    }
+
+    /// The forward scan the linear phase-dead pass replaced: from each
+    /// `Z`/`Phase`, walk ahead to the qubit's next consumer.
+    fn reference_eliminate_phase_dead(
+        slots: &mut [Option<Instr>],
+        barrier: &[bool],
+        stats: &mut PassStats,
+    ) {
+        for i in 0..slots.len() {
+            let q = match slots[i] {
+                Some(Instr::Gate(Gate::Z(q) | Gate::Phase(q, _))) => q,
+                _ => continue,
+            };
+            let mut dead = false;
+            for (j, slot) in slots.iter().enumerate().skip(i + 1) {
+                if barrier[j] {
+                    break;
+                }
+                match slot {
+                    None | Some(Instr::Drop(_)) => continue,
+                    Some(Instr::Gate(g)) => {
+                        if g.is_diagonal() {
+                            continue;
+                        }
+                        let mut touches = false;
+                        g.for_each_qubit(&mut |qq| touches |= qq == q);
+                        if touches {
+                            break;
+                        }
+                    }
+                    Some(Instr::Measure { qubit, basis, .. }) => {
+                        if *qubit == q {
+                            dead = *basis == Basis::Z;
+                            break;
+                        }
+                    }
+                    Some(Instr::Reset(qubit)) => {
+                        if *qubit == q {
+                            dead = true;
+                            break;
+                        }
+                    }
+                    Some(Instr::Fused(_) | Instr::BranchUnless { .. }) => break,
+                }
+            }
+            if dead {
+                slots[i] = None;
+                stats.phase_dead_removed += 1;
+            }
+        }
+    }
+
+    /// The reference pipeline up to compaction: the backward scan on each
+    /// segment, then the forward phase-dead scan.
+    fn reference_passes(
+        slots: &mut [Option<Instr>],
+        barrier: &[bool],
+        config: &PassConfig,
+        stats: &mut PassStats,
+    ) {
+        let mut start = 0;
+        for pc in 0..=slots.len() {
+            let is_gate = pc < slots.len() && matches!(slots[pc], Some(Instr::Gate(_)));
+            if !is_gate || barrier[pc] {
+                if pc > start {
+                    reference_optimize_segment(&mut slots[start..pc], config, stats);
+                }
+                start = if is_gate { pc } else { pc + 1 };
+            }
+        }
+        if config.phase_dead_before_measure {
+            reference_eliminate_phase_dead(slots, barrier, stats);
+        }
+    }
+
+    /// Angles whose pairwise sums include ones [`Angle::checked_add`]
+    /// rejects: a small-denominator angle plus one past `2^128`.
+    fn angle_pool() -> [Angle; 8] {
+        [
+            Angle::ZERO,
+            Angle::HALF_TURN,
+            Angle::turn_over_power_of_two(2),
+            -Angle::turn_over_power_of_two(2),
+            Angle::turn_over_power_of_two(3),
+            Angle::from_fraction(1, 130),
+            Angle::from_fraction(3, 200),
+            -Angle::from_fraction(1, 200),
+        ]
+    }
+
+    /// Gate family `family` (all 11) on the first operands of the
+    /// `perm`-th ordering of four qubits.
+    fn pool_gate(family: u8, perm: usize, angle: Angle) -> Gate {
+        let mut rest = vec![q(0), q(1), q(2), q(3)];
+        let mut code = perm;
+        let mut ops = [q(0); 3];
+        for (k, op) in ops.iter_mut().enumerate() {
+            *op = rest.remove(code % (4 - k));
+            code /= 4 - k;
+        }
+        let [a, b, c] = ops;
+        match family {
+            0 => Gate::X(a),
+            1 => Gate::Z(a),
+            2 => Gate::H(a),
+            3 => Gate::Phase(a, angle),
+            4 => Gate::Cx(a, b),
+            5 => Gate::Cz(a, b),
+            6 => Gate::Swap(a, b),
+            7 => Gate::CPhase(a, b, angle),
+            8 => Gate::Ccx(a, b, c),
+            9 => Gate::Ccz(a, b, c),
+            _ => Gate::CcPhase(a, b, c, angle),
+        }
+    }
+
+    /// One stream item: `(kind, palette slot, angle, body length)`.
+    type Item = (u8, usize, usize, usize);
+
+    /// Builds ops from `items`: kinds below 16 are gates drawn from a
+    /// small palette (so same-key pairs are common), then `Z`/`X`
+    /// measurements, resets and conditionals over the next items.
+    fn build_ops(items: &[Item], at: &mut usize, palette: &[(u8, usize)], out: &mut Vec<Op>) {
+        let angles = angle_pool();
+        while *at < items.len() {
+            let (kind, slot, angle, body) = items[*at];
+            *at += 1;
+            let (family, perm) = palette[slot % palette.len()];
+            match kind {
+                0..=15 => out.push(Op::Gate(pool_gate(family, perm, angles[angle]))),
+                16 | 17 => out.push(Op::Measure {
+                    qubit: q(perm as u32 % 4),
+                    basis: if kind == 16 { Basis::Z } else { Basis::X },
+                    clbit: ClbitId(0),
+                }),
+                18 => out.push(Op::Reset(q(perm as u32 % 4))),
+                _ => {
+                    let end = (*at + body).min(items.len());
+                    let mut ops = Vec::new();
+                    build_ops(&items[..end], at, palette, &mut ops);
+                    out.push(Op::Conditional {
+                        clbit: ClbitId(0),
+                        ops,
+                    });
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(2000))]
+
+        /// The indexed peephole pass and the linear phase-dead pass make
+        /// the reference scans' decisions, slot for slot, on random streams
+        /// over all 11 gate families on four qubits, with measurements,
+        /// resets and nested conditionals as barriers, under every pass
+        /// configuration.
+        #[test]
+        fn indexed_passes_match_the_reference_scans(
+            palette in proptest::collection::vec((0u8..11, 0usize..24), 1..8usize),
+            items in proptest::collection::vec((0u8..20, 0usize..8, 0usize..8, 0usize..5), 0..80usize),
+            flags in (proptest::bool::ANY, proptest::bool::ANY, proptest::bool::ANY, proptest::bool::ANY),
+        ) {
+            let config = PassConfig {
+                cancel_self_inverse: flags.0,
+                merge_rotations: flags.1,
+                remove_identities: flags.2,
+                phase_dead_before_measure: flags.3,
+                ..PassConfig::none()
+            };
+            let mut ops = Vec::new();
+            build_ops(&items, &mut 0, &palette, &mut ops);
+            let mut instrs = Vec::new();
+            flatten(&ops, &mut instrs);
+            let barrier = join_points(&instrs);
+            let mut want: Vec<Option<Instr>> = instrs.iter().copied().map(Some).collect();
+            let mut got = want.clone();
+            let mut want_stats = PassStats::default();
+            let mut got_stats = PassStats::default();
+            reference_passes(&mut want, &barrier, &config, &mut want_stats);
+            peephole(&mut got, &barrier, 4, &config, &mut got_stats);
+            if config.phase_dead_before_measure {
+                eliminate_phase_dead(&mut got, &barrier, 4, &mut got_stats);
+            }
+            proptest::prop_assert_eq!(&got, &want, "{:?}", config);
+            got_stats.peephole_work = 0;
+            proptest::prop_assert_eq!(got_stats, want_stats);
+        }
+    }
+
+    #[test]
+    fn unmergeable_rotations_stay_and_are_retried() {
+        // The middle pair's exact sum does not fit (half a turn plus
+        // 2π/2^200), so the half turn stays; the last gate merges into it
+        // first (to zero) and then, from zero, folds in the oldest.
+        let tiny = Angle::from_fraction(1, 200);
+        let mut b = CircuitBuilder::new();
+        let r = b.qreg("q", 1);
+        b.phase(r[0], tiny);
+        b.phase(r[0], Angle::HALF_TURN);
+        b.phase(r[0], Angle::HALF_TURN);
+        let compiled = CompiledCircuit::compile(&b.finish()).unwrap();
+        assert_eq!(gates(&compiled), vec![Gate::Phase(r[0], tiny)]);
+        assert_eq!(compiled.stats().merged, 2);
+    }
+
+    #[test]
+    fn compaction_reuses_the_allocation_and_fixes_nested_skips() {
+        // unless c0 { X, unless c0 { X, H }, H }, with the first X of each
+        // region and the inner H removed.
+        let x = Instr::Gate(Gate::X(q(0)));
+        let h = Instr::Gate(Gate::H(q(0)));
+        let branch = |skip| Instr::BranchUnless {
+            clbit: ClbitId(0),
+            skip,
+        };
+        let slots = vec![
+            Some(branch(5)),
+            None,
+            Some(branch(2)),
+            None,
+            None,
+            Some(h),
+            Some(x),
+        ];
+        let before = slots.as_ptr() as usize;
+        let out = compact_slots(slots);
+        assert_eq!(out.as_ptr() as usize, before, "compacted in place");
+        assert_eq!(out, vec![branch(2), branch(0), h, x]);
+    }
+
+    #[test]
+    fn work_counter_is_linear_on_a_commuting_diagonal_run() {
+        // Every CPhase pair commutes and none shares a support: the old
+        // scan visited every earlier gate, the index visits none.
+        let t = Angle::turn_over_power_of_two(5);
+        let mut b = CircuitBuilder::new();
+        let r = b.qreg("q", 64);
+        for i in 0..64 {
+            for j in i + 1..64 {
+                b.cphase(r[i], r[j], t);
+            }
+        }
+        let compiled = CompiledCircuit::compile(&b.finish()).unwrap();
+        let g = compiled.stats().lowered_instrs as u64;
+        assert_eq!(compiled.stats().removed(), 0);
+        assert!(
+            compiled.stats().peephole_work <= 6 * g,
+            "{} probes for {g} gates",
+            compiled.stats().peephole_work
+        );
     }
 }
